@@ -80,9 +80,8 @@ fn alert_stream(cell: &Cell, profile: Option<FaultProfile>) -> Vec<Event> {
                 engines.borrow_mut().push(eng);
             })
         };
-        let (_report, tracer) = with_trace_capture(|| {
-            with_env_hook(hook, || cell.attack.run(&(cell.config)(), SEED))
-        });
+        let (_report, tracer) =
+            with_trace_capture(|| with_env_hook(hook, || cell.attack.run(&(cell.config)(), SEED)));
         for eng in engines.borrow_mut().iter_mut() {
             eng.poll();
         }
@@ -138,7 +137,11 @@ fn same_seed_alert_streams_are_byte_identical() {
     for cell in &CELLS {
         let a = to_jsonl(&alert_stream(cell, None));
         let b = to_jsonl(&alert_stream(cell, None));
-        assert_eq!(a, b, "{}: zero-fault same-seed alert streams must be byte-identical", cell.golden);
+        assert_eq!(
+            a, b,
+            "{}: zero-fault same-seed alert streams must be byte-identical",
+            cell.golden
+        );
     }
 }
 

@@ -17,9 +17,11 @@
 //! attacker's replay on a real wire, and is reported as one.
 
 use crate::compile::{DetectorBody, DetectorSpec, Per};
-use crate::rules::MsgKind;
+use crate::rules::{Match, MsgKind};
 use krb_trace::{Event, EventKind, Subscription, Tracer, Value};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 /// One detector finding. `evidence_seq` is the trace sequence number
 /// of the event that tripped the detector.
@@ -49,24 +51,54 @@ fn payload_id(bytes: &[u8]) -> (u64, u64) {
     (fnv64(0xcbf2_9ce4_8422_2325, bytes), fnv64(0x6c62_272e_07bb_0142, bytes))
 }
 
-/// Dotted-quad rendering of the packed address the wire events carry.
-fn fmt_ip(packed: u64) -> String {
-    let a = u32::try_from(packed).unwrap_or(u32::MAX);
-    format!("{}.{}.{}.{}", (a >> 24) & 255, (a >> 16) & 255, (a >> 8) & 255, a & 255)
+/// A wire endpoint packed as the sniffer keys it: the address clamped
+/// to `u32` the way its dotted-quad rendering clamps it, and the port
+/// to `u16`. Two endpoints are equal exactly when their `ip:port`
+/// texts are, so keys compare without rendering; the text is built only
+/// for an `Exact` address matcher or an alert.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Endpoint {
+    addr: u32,
+    port: u16,
 }
 
-/// A wire hop as the sniffer sees it.
+impl Endpoint {
+    fn from_wire(addr: u64, port: u64) -> Endpoint {
+        Endpoint {
+            addr: u32::try_from(addr).unwrap_or(u32::MAX),
+            port: u16::try_from(port).unwrap_or(u16::MAX),
+        }
+    }
+
+    /// Dotted-quad rendering of the address.
+    fn ip(self) -> String {
+        let a = self.addr.to_be_bytes();
+        format!("{}.{}.{}.{}", a[0], a[1], a[2], a[3])
+    }
+}
+
+impl fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}", self.ip(), self.port)
+    }
+}
+
+/// Whether `m` accepts `ep`'s address, rendering it only when `m` is
+/// an exact match.
+fn addr_accepts(m: &Match<String>, ep: Endpoint) -> bool {
+    match m {
+        Match::Any => true,
+        Match::Exact(want) => *want == ep.ip(),
+    }
+}
+
+/// A wire hop as the sniffer sees it, parsed once per event.
 struct Hop<'a> {
     seq: u64,
     at_us: u64,
-    /// `ip:port` of the claimed source.
-    src: String,
-    src_addr: String,
-    src_port: u16,
-    /// `ip:port` of the destination.
-    dst: String,
-    dst_addr: String,
-    dst_port: u16,
+    /// The claimed source.
+    src: Endpoint,
+    dst: Endpoint,
     dst_host: &'a str,
     req: bool,
     payload: &'a [u8],
@@ -78,22 +110,14 @@ impl<'a> Hop<'a> {
         if ev.kind != EventKind::WireHop {
             return None;
         }
-        let src_packed = ev.u64_field("src_addr")?;
-        let src_port = ev.u64_field("src_port")?;
-        let dst_packed = ev.u64_field("dst_addr")?;
-        let dst_port = ev.u64_field("dst_port")?;
+        let src = Endpoint::from_wire(ev.u64_field("src_addr")?, ev.u64_field("src_port")?);
+        let dst = Endpoint::from_wire(ev.u64_field("dst_addr")?, ev.u64_field("dst_port")?);
         let payload = ev.bytes_field("payload")?.as_slice();
-        let src_addr = fmt_ip(src_packed);
-        let dst_addr = fmt_ip(dst_packed);
         Some(Hop {
             seq: ev.seq,
             at_us: ev.at_us,
-            src: format!("{src_addr}:{src_port}"),
-            src_addr,
-            src_port: u16::try_from(src_port).unwrap_or(u16::MAX),
-            dst: format!("{dst_addr}:{dst_port}"),
-            dst_addr,
-            dst_port: u16::try_from(dst_port).unwrap_or(u16::MAX),
+            src,
+            dst,
             dst_host: ev.str_field("dst_host").unwrap_or("?"),
             req: ev.bool_field("req").unwrap_or(false),
             payload,
@@ -103,10 +127,10 @@ impl<'a> Hop<'a> {
 
     /// Whether this hop passes `spec`'s header matchers.
     fn matches(&self, spec: &DetectorSpec) -> bool {
-        spec.src_addr.accepts(&self.src_addr)
-            && spec.src_port.accepts(&self.src_port)
-            && spec.dst_addr.accepts(&self.dst_addr)
-            && spec.dst_port.accepts(&self.dst_port)
+        addr_accepts(&spec.src_addr, self.src)
+            && spec.src_port.accepts(&self.src.port)
+            && addr_accepts(&spec.dst_addr, self.dst)
+            && spec.dst_port.accepts(&self.dst.port)
     }
 
     fn kind_name(&self) -> &'static str {
@@ -115,7 +139,7 @@ impl<'a> Hop<'a> {
 }
 
 /// Where a ciphertext window was first seen.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WinOrigin {
     /// In a reply; the value is the evidence sequence number.
     Reply { seq: u64 },
@@ -124,22 +148,103 @@ enum WinOrigin {
     /// source re-uses it. `src` is the endpoint that first presented
     /// the material — its own retransmissions and its next tickets
     /// (which share deterministic-seal prefixes) are not theft.
-    Request { seq: u64, dst_port: u16, src: String },
+    Request { seq: u64, dst_port: u16, src: Endpoint },
+}
+
+/// Width of a cut-paste ciphertext window, in bytes.
+const WIN: usize = 16;
+
+/// Entropy screen: a window needs this many distinct bytes to index or
+/// match. Padding and zero runs carry no identity.
+const MIN_DISTINCT: u32 = 4;
+
+/// The entropy-screened windows of a payload, in order, each keyed as
+/// its 16 bytes read as a big-endian `u128`. One rolling pass: the key,
+/// a per-byte count table and a distinct-byte counter slide along with
+/// the window, so each payload byte is added and removed once.
+struct LivelyWindows<'a> {
+    payload: &'a [u8],
+    /// Start of the current window.
+    at: usize,
+    key: u128,
+    counts: [u8; 256],
+    distinct: u32,
+}
+
+impl<'a> LivelyWindows<'a> {
+    fn new(payload: &'a [u8]) -> LivelyWindows<'a> {
+        let mut w = LivelyWindows { payload, at: 0, key: 0, counts: [0; 256], distinct: 0 };
+        for &b in payload.iter().take(WIN) {
+            w.push(b);
+        }
+        w
+    }
+
+    fn push(&mut self, b: u8) {
+        self.key = (self.key << 8) | u128::from(b);
+        let c = &mut self.counts[usize::from(b)];
+        self.distinct += u32::from(*c == 0);
+        *c += 1;
+    }
+
+    fn pop(&mut self, b: u8) {
+        let c = &mut self.counts[usize::from(b)];
+        *c -= 1;
+        self.distinct -= u32::from(*c == 0);
+    }
+}
+
+impl Iterator for LivelyWindows<'_> {
+    type Item = u128;
+
+    fn next(&mut self) -> Option<u128> {
+        while self.at + WIN <= self.payload.len() {
+            let (key, lively) = (self.key, self.distinct >= MIN_DISTINCT);
+            if let (Some(&out), Some(&next)) =
+                (self.payload.get(self.at), self.payload.get(self.at + WIN))
+            {
+                self.pop(out);
+                self.push(next);
+            }
+            self.at += 1;
+            if lively {
+                return Some(key);
+            }
+        }
+        None
+    }
+}
+
+/// What a preauth-storm counter aggregates by; rendered as the alert
+/// subject.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum StormKey {
+    Src(Endpoint),
+    Principal(String),
+}
+
+impl fmt::Display for StormKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StormKey::Src(ep) => ep.fmt(f),
+            StormKey::Principal(name) => f.write_str(name),
+        }
+    }
 }
 
 /// Per-detector mutable state.
 #[derive(Debug, Default)]
 struct DetectorState {
     /// replay / crash-reuse: (src, dst, payload-id) -> first-seen time.
-    first_sight: BTreeMap<(String, String, u64, u64), u64>,
+    first_sight: BTreeMap<(Endpoint, Endpoint, u64, u64), u64>,
     /// cut-paste: 16-byte window -> first origin (first-source-wins).
-    windows: BTreeMap<[u8; 16], WinOrigin>,
+    windows: BTreeMap<u128, WinOrigin>,
     /// cut-paste: full-payload ids seen anywhere, any direction.
     payloads_seen: BTreeSet<(u64, u64)>,
     /// cut-paste: (dst, payload-id) -> first source endpoint.
-    stream_first: BTreeMap<(String, u64, u64), String>,
+    stream_first: BTreeMap<(Endpoint, u64, u64), Endpoint>,
     /// preauth-storm: key -> (event times in window, alerted latch).
-    storm: BTreeMap<String, (VecDeque<u64>, bool)>,
+    storm: BTreeMap<StormKey, (VecDeque<u64>, bool)>,
     /// crash-reuse: host name -> last restart time.
     restarts: BTreeMap<String, u64>,
 }
@@ -192,20 +297,23 @@ impl Engine {
         let Some(sub) = &self.sub else { return 0 };
         let events = sub.drain();
         let mut fresh: Vec<Alert> = Vec::new();
+        let mut seen = 0;
         for ev in &events {
             // The engine's own alert events come back around the tap.
             if ev.kind == EventKind::IdsAlert {
                 continue;
             }
-            self.events_seen += 1;
+            seen += 1;
+            let hop = Hop::from_event(ev);
             for d in &mut self.detectors {
-                observe(&d.spec, &mut d.state, ev, &mut fresh);
+                observe(&d.spec, &mut d.state, ev, hop.as_ref(), &mut fresh);
             }
         }
+        self.events_seen += seen;
         let raised = fresh.len();
         if let Some(t) = &self.tracer {
-            if !events.is_empty() {
-                t.counter("ids.events", "engine", events.len() as u64);
+            if seen > 0 {
+                t.counter("ids.events", "engine", seen);
             }
             for a in &fresh {
                 t.counter("ids.alerts", a.detector, 1);
@@ -231,7 +339,8 @@ impl Engine {
         &self.alerts
     }
 
-    /// Total trace events observed (the `ids.events` counter's view).
+    /// Total trace events observed (the `ids.events` counter's view):
+    /// every drained event except the engine's own `ids.alert`s.
     pub fn events_seen(&self) -> u64 {
         self.events_seen
     }
@@ -242,39 +351,45 @@ impl Engine {
     }
 }
 
-/// Routes one event into one detector.
-fn observe(spec: &DetectorSpec, state: &mut DetectorState, ev: &Event, out: &mut Vec<Alert>) {
+/// Routes one event into one detector. `hop` is the event parsed as a
+/// wire hop, if it is one.
+fn observe(
+    spec: &DetectorSpec,
+    state: &mut DetectorState,
+    ev: &Event,
+    hop: Option<&Hop<'_>>,
+    out: &mut Vec<Alert>,
+) {
+    let hop = hop.filter(|h| h.matches(spec));
     match &spec.body {
         DetectorBody::Replay { window_us, kinds } => {
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_replay(spec, state, &hop, *window_us, kinds, out);
+            if let Some(hop) = hop {
+                observe_replay(spec, state, hop, *window_us, kinds, out);
             }
         }
         DetectorBody::ClockSpoof { tolerance_us } => {
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_clock(spec, &hop, *tolerance_us, out);
+            if let Some(hop) = hop {
+                observe_clock(spec, hop, *tolerance_us, out);
             }
         }
         DetectorBody::CutPaste { krb_ports, min_run, min_stolen } => {
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_cut_paste(spec, state, &hop, krb_ports, *min_run, *min_stolen, out);
+            if let Some(hop) = hop {
+                observe_cut_paste(spec, state, hop, krb_ports, *min_run, *min_stolen, out);
             }
         }
         DetectorBody::PreauthStorm { window_us, threshold, per } => match per {
             Per::Src => {
-                if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                    if hop.req && hop.kind == Some(MsgKind::AsReq) {
-                        observe_storm(
-                            spec,
-                            state,
-                            hop.src.clone(),
-                            hop.at_us,
-                            hop.seq,
-                            *window_us,
-                            *threshold,
-                            out,
-                        );
-                    }
+                if let Some(hop) = hop.filter(|h| h.req && h.kind == Some(MsgKind::AsReq)) {
+                    observe_storm(
+                        spec,
+                        state,
+                        StormKey::Src(hop.src),
+                        hop.at_us,
+                        hop.seq,
+                        *window_us,
+                        *threshold,
+                        out,
+                    );
                 }
             }
             Per::Principal => {
@@ -283,7 +398,7 @@ fn observe(spec: &DetectorSpec, state: &mut DetectorState, ev: &Event, out: &mut
                         observe_storm(
                             spec,
                             state,
-                            client.to_string(),
+                            StormKey::Principal(client.to_string()),
                             ev.at_us,
                             ev.seq,
                             *window_us,
@@ -301,8 +416,8 @@ fn observe(spec: &DetectorSpec, state: &mut DetectorState, ev: &Event, out: &mut
                 }
                 return;
             }
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_crash_reuse(spec, state, &hop, *window_us, out);
+            if let Some(hop) = hop {
+                observe_crash_reuse(spec, state, hop, *window_us, out);
             }
         }
     }
@@ -342,7 +457,7 @@ fn observe_replay(
         return;
     }
     let (h1, h2) = payload_id(hop.payload);
-    let sight = (hop.src.clone(), hop.dst.clone(), h1, h2);
+    let sight = (hop.src, hop.dst, h1, h2);
     match state.first_sight.get(&sight) {
         Some(&t0) if hop.at_us.saturating_sub(t0) <= window_us => {
             let dt = hop.at_us.saturating_sub(t0);
@@ -350,7 +465,7 @@ fn observe_replay(
                 spec,
                 out,
                 hop.at_us,
-                hop.src.clone(),
+                hop.src.to_string(),
                 format!(
                     "identical {} to {} re-sent {}.{:06}s after first sight",
                     kind.name(),
@@ -382,7 +497,7 @@ fn observe_clock(spec: &DetectorSpec, hop: &Hop<'_>, tolerance_us: u64, out: &mu
             spec,
             out,
             hop.at_us,
-            hop.src.clone(),
+            hop.src.to_string(),
             format!(
                 "time reply claims {claimed_s}s but arrived at {}s ({}s apart)",
                 hop.at_us / 1_000_000,
@@ -404,134 +519,121 @@ fn observe_cut_paste(
 ) {
     // Windows are fixed 16-byte content keys; `min_run` only raises
     // the minimum message size worth scanning.
-    if hop.payload.len() < min_run.max(16) {
+    if hop.payload.len() < min_run.max(WIN) {
         return;
     }
     let id = payload_id(hop.payload);
-    let exact_copy = state.payloads_seen.contains(&id);
+    // Exact bytes seen before are never re-indexed: windows are
+    // first-source-wins, so later copies — faulted duplicates,
+    // legitimate echoes — never re-attribute one.
+    if !state.payloads_seen.insert(id) {
+        // Same stream (same src): that is the replay detector's case.
+        // Different src to the same destination: a whole sealed
+        // message cut-and-pasted across streams.
+        let spliceable = matches!(
+            hop.kind,
+            Some(MsgKind::ApReq | MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp)
+        );
+        if !hop.req || !spliceable {
+            return;
+        }
+        let Some(&first_src) = state.stream_first.get(&(hop.dst, id.0, id.1)) else { return };
+        if first_src != hop.src {
+            let detail = format!(
+                "sealed {} first sent by {first_src} re-sent to {} from {}",
+                hop.kind_name(),
+                hop.dst,
+                hop.src
+            );
+            push_alert(spec, out, hop.at_us, hop.src.to_string(), detail, hop.seq);
+        }
+        return;
+    }
+    if !hop.req {
+        for key in LivelyWindows::new(hop.payload) {
+            state.windows.entry(key).or_insert(WinOrigin::Reply { seq: hop.seq });
+        }
+        return;
+    }
+    state.stream_first.entry((hop.dst, id.0, id.1)).or_insert(hop.src);
 
-    if hop.req && exact_copy {
-        // Exact bytes seen before. Same stream (same src): that is the
-        // replay detector's case. Different src to the same
-        // destination: a whole sealed message cut-and-pasted across
-        // streams.
-        let stream = (hop.dst.clone(), id.0, id.1);
-        if let Some(first_src) = state.stream_first.get(&stream) {
-            let spliceable = matches!(
-                hop.kind,
-                Some(MsgKind::ApReq | MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp)
-            );
-            if spliceable && first_src != &hop.src {
-                let detail = format!(
-                    "sealed {} first sent by {first_src} re-sent to {} from {}",
-                    hop.kind_name(),
-                    hop.dst,
-                    hop.src
-                );
-                push_alert(spec, out, hop.at_us, hop.src.clone(), detail, hop.seq);
+    // Fresh request bytes: one pass scans for re-surfacing ciphertext
+    // windows from earlier messages and indexes the new ones. A window
+    // this request repeats finds its own `src` and never counts.
+    // Request-origin matches count per source message: deterministic
+    // seals (v4-style, no confounder) make honest messages share
+    // envelope bytes and leading ciphertext blocks, so only a *long*
+    // run of someone else's material — `min_stolen` windows from one
+    // foreign, non-KDC-bound request — is evidence of theft.
+    let origin = WinOrigin::Request { seq: hop.seq, dst_port: hop.dst.port, src: hop.src };
+    let mut reply_sources: BTreeSet<u64> = BTreeSet::new();
+    let mut stolen_counts: BTreeMap<u64, usize> = BTreeMap::new();
+    for key in LivelyWindows::new(hop.payload) {
+        match state.windows.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(origin);
             }
-        }
-    } else if hop.req {
-        // Fresh request bytes: scan for re-surfacing ciphertext
-        // windows from earlier messages. Request-origin matches count
-        // per source message: deterministic seals (v4-style, no
-        // confounder) make honest messages share envelope bytes and
-        // leading ciphertext blocks, so only a *long* run of someone
-        // else's material — `min_stolen` windows from one foreign,
-        // non-KDC-bound request — is evidence of theft.
-        let mut reply_sources: BTreeSet<u64> = BTreeSet::new();
-        let mut stolen_counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for win in hop.payload.windows(16) {
-            let Ok(arr) = <[u8; 16]>::try_from(win) else { continue };
-            if !lively(&arr) {
-                continue;
-            }
-            match state.windows.get(&arr) {
-                Some(WinOrigin::Reply { seq }) => {
-                    reply_sources.insert(*seq);
+            Entry::Occupied(o) => match *o.get() {
+                WinOrigin::Reply { seq } => {
+                    reply_sources.insert(seq);
                 }
-                Some(WinOrigin::Request { seq, dst_port, src })
-                    if !krb_ports.contains(dst_port) && *src != hop.src =>
+                WinOrigin::Request { seq, dst_port, src }
+                    if !krb_ports.contains(&dst_port) && src != hop.src =>
                 {
-                    *stolen_counts.entry(*seq).or_default() += 1;
+                    *stolen_counts.entry(seq).or_default() += 1;
                 }
-                Some(WinOrigin::Request { .. }) | None => {}
-            }
-        }
-        // Deterministic best pick: highest count, then earliest source.
-        let request_source = stolen_counts
-            .iter()
-            .filter(|(_, &n)| n >= min_stolen)
-            .max_by_key(|(&seq, &n)| (n, std::cmp::Reverse(seq)))
-            .map(|(&seq, &n)| (seq, n));
-        let ticket_bearing = matches!(hop.kind, Some(MsgKind::TgsReq | MsgKind::ApReq));
-        let sealed_session =
-            matches!(hop.kind, Some(MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp));
-        if ticket_bearing && reply_sources.len() >= 2 {
-            let srcs: Vec<String> = reply_sources.iter().map(|s| format!("#{s}")).collect();
-            push_alert(
-                spec,
-                out,
-                hop.at_us,
-                hop.src.clone(),
-                format!(
-                    "{} to {} splices ciphertext from {} distinct KDC replies ({})",
-                    hop.kind_name(),
-                    hop.dst,
-                    reply_sources.len(),
-                    srcs.join(", ")
-                ),
-                hop.seq,
-            );
-        } else if sealed_session && !reply_sources.is_empty() {
-            let first = reply_sources.iter().next().copied().unwrap_or(0);
-            push_alert(
-                spec,
-                out,
-                hop.at_us,
-                hop.src.clone(),
-                format!("{} to {} echoes ciphertext from reply #{first}", hop.kind_name(), hop.dst),
-                hop.seq,
-            );
-        } else if let Some((seq, n)) = request_source {
-            push_alert(
-                spec,
-                out,
-                hop.at_us,
-                hop.src.clone(),
-                format!(
-                    "message from {} to {} re-uses {n} ciphertext windows of another \
-                     endpoint's session material (request #{seq})",
-                    hop.src, hop.dst
-                ),
-                hop.seq,
-            );
+                WinOrigin::Request { .. } => {}
+            },
         }
     }
-
-    // Index this message (first-source-wins per window, so later
-    // copies — faulted duplicates, legitimate echoes — never
-    // re-attribute a window).
-    if !exact_copy {
-        state.payloads_seen.insert(id);
-        if hop.req {
-            state
-                .stream_first
-                .entry((hop.dst.clone(), id.0, id.1))
-                .or_insert_with(|| hop.src.clone());
-        }
-        for win in hop.payload.windows(16) {
-            let Ok(arr) = <[u8; 16]>::try_from(win) else { continue };
-            if !lively(&arr) {
-                continue;
-            }
-            let origin = if hop.req {
-                WinOrigin::Request { seq: hop.seq, dst_port: hop.dst_port, src: hop.src.clone() }
-            } else {
-                WinOrigin::Reply { seq: hop.seq }
-            };
-            state.windows.entry(arr).or_insert(origin);
-        }
+    // Deterministic best pick: highest count, then earliest source.
+    let request_source = stolen_counts
+        .iter()
+        .filter(|(_, &n)| n >= min_stolen)
+        .max_by_key(|(&seq, &n)| (n, std::cmp::Reverse(seq)))
+        .map(|(&seq, &n)| (seq, n));
+    let ticket_bearing = matches!(hop.kind, Some(MsgKind::TgsReq | MsgKind::ApReq));
+    let sealed_session =
+        matches!(hop.kind, Some(MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp));
+    if ticket_bearing && reply_sources.len() >= 2 {
+        let srcs: Vec<String> = reply_sources.iter().map(|s| format!("#{s}")).collect();
+        push_alert(
+            spec,
+            out,
+            hop.at_us,
+            hop.src.to_string(),
+            format!(
+                "{} to {} splices ciphertext from {} distinct KDC replies ({})",
+                hop.kind_name(),
+                hop.dst,
+                reply_sources.len(),
+                srcs.join(", ")
+            ),
+            hop.seq,
+        );
+    } else if sealed_session && !reply_sources.is_empty() {
+        let first = reply_sources.iter().next().copied().unwrap_or(0);
+        push_alert(
+            spec,
+            out,
+            hop.at_us,
+            hop.src.to_string(),
+            format!("{} to {} echoes ciphertext from reply #{first}", hop.kind_name(), hop.dst),
+            hop.seq,
+        );
+    } else if let Some((seq, n)) = request_source {
+        push_alert(
+            spec,
+            out,
+            hop.at_us,
+            hop.src.to_string(),
+            format!(
+                "message from {} to {} re-uses {n} ciphertext windows of another \
+                 endpoint's session material (request #{seq})",
+                hop.src, hop.dst
+            ),
+            hop.seq,
+        );
     }
 }
 
@@ -539,7 +641,7 @@ fn observe_cut_paste(
 fn observe_storm(
     spec: &DetectorSpec,
     state: &mut DetectorState,
-    subject: String,
+    subject: StormKey,
     at_us: u64,
     seq: u64,
     window_us: u64,
@@ -564,7 +666,7 @@ fn observe_storm(
     };
     if let Some(n) = fire {
         let detail = format!("{}: {n} events inside {}s window", spec.msg, window_us / 1_000_000);
-        push_alert(spec, out, at_us, subject, detail, seq);
+        push_alert(spec, out, at_us, subject.to_string(), detail, seq);
     }
 }
 
@@ -579,7 +681,7 @@ fn observe_crash_reuse(
         return;
     }
     let (h1, h2) = payload_id(hop.payload);
-    let sight = (hop.src.clone(), hop.dst.clone(), h1, h2);
+    let sight = (hop.src, hop.dst, h1, h2);
     if let Some(&t0) = state.first_sight.get(&sight) {
         if let Some(&restarted) = state.restarts.get(hop.dst_host) {
             if t0 < restarted
@@ -590,7 +692,7 @@ fn observe_crash_reuse(
                     spec,
                     out,
                     hop.at_us,
-                    hop.src.clone(),
+                    hop.src.to_string(),
                     format!(
                         "authenticator first seen at {}s re-presented to {} {}s after its restart",
                         t0 / 1_000_000,
@@ -604,16 +706,6 @@ fn observe_crash_reuse(
         }
     }
     state.first_sight.entry(sight).or_insert(hop.at_us);
-}
-
-/// Entropy screen for 16-byte windows: padding and zero runs carry no
-/// identity, so they neither index nor match.
-fn lively(win: &[u8; 16]) -> bool {
-    let mut distinct: BTreeSet<u8> = BTreeSet::new();
-    for &b in win {
-        distinct.insert(b);
-    }
-    distinct.len() >= 4
 }
 
 #[cfg(test)]
@@ -854,6 +946,138 @@ mod tests {
         hop(&t, 2_000_000, (11, 1024), (20, 88), "kdc", true, req_b);
         eng.poll();
         assert!(eng.fired().is_empty());
+    }
+
+    /// `[tag, 0xE0 ^ tag] + run + [0xF0 ^ tag] + run`: one message
+    /// carrying `run` twice.
+    fn twice(tag: u8, run: &[u8]) -> Vec<u8> {
+        let mut v = vec![tag, 0xE0 ^ tag];
+        v.extend_from_slice(run);
+        v.push(0xF0 ^ tag);
+        v.extend_from_slice(run);
+        v
+    }
+
+    #[test]
+    fn cut_paste_counts_a_foreign_window_once_per_occurrence() {
+        // 35 stolen bytes = 20 windows: one copy is short of
+        // `min_stolen` (40), the same run presented twice reaches it.
+        let t = Tracer::new();
+        let mut eng = default_engine().unwrap();
+        eng.attach(&t);
+        let victim = sealed_n(5, 33, 90);
+        hop(&t, 1_000_000, (10, 1024), (20, 2001), "files", true, victim.clone());
+        let mut once = vec![5u8, 0xEE];
+        once.extend_from_slice(&victim[1..36]);
+        hop(&t, 2_000_000, (66, 7000), (20, 2001), "files", true, once);
+        eng.poll();
+        assert!(eng.fired().is_empty(), "{:?}", eng.alerts());
+        hop(&t, 3_000_000, (66, 7001), (20, 2001), "files", true, twice(7, &victim[1..36]));
+        eng.poll();
+        let alerts = eng.alerts();
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert!(alerts[0].detail.contains("re-uses 40 ciphertext windows"), "{alerts:?}");
+    }
+
+    #[test]
+    fn cut_paste_never_counts_a_senders_own_repeated_windows() {
+        // 55 bytes = 40 windows, repeated inside one fresh request: the
+        // second copy finds the first one's windows under its own
+        // source, which is not theft. The windows are still indexed
+        // once, first-source-wins, so another endpoint re-using both
+        // copies is charged 80 windows of that request.
+        let t = Tracer::new();
+        let mut eng = default_engine().unwrap();
+        eng.attach(&t);
+        let run = &sealed_n(9, 61, 55)[1..];
+        hop(&t, 1_000_000, (10, 1024), (20, 2001), "files", true, twice(5, run));
+        eng.poll();
+        assert!(eng.fired().is_empty(), "{:?}", eng.alerts());
+        hop(&t, 2_000_000, (66, 7000), (20, 2001), "files", true, twice(6, run));
+        eng.poll();
+        let alerts = eng.alerts();
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert!(alerts[0].detail.contains("re-uses 80 ciphertext windows"), "{alerts:?}");
+        assert!(alerts[0].detail.starts_with("message from 0.0.0.66:7000 to 0.0.0.20:2001"));
+    }
+
+    #[test]
+    fn exact_address_matchers_compare_rendered_addresses() {
+        let rules = "alert krb 0.0.0.10 any -> any 2001 (detector:replay; kinds:ap-req; \
+                     window:900s; sid:1;)";
+        let t = Tracer::new();
+        let mut eng = crate::engine_from_rules(rules).unwrap();
+        eng.attach(&t);
+        for src in [11, 10] {
+            let ap = sealed(5, src as u8);
+            hop(&t, 1_000_000, (src, 1024), (20, 2001), "files", true, ap.clone());
+            hop(&t, 2_000_000, (src, 1024), (20, 2001), "files", true, ap);
+        }
+        eng.poll();
+        let subjects: Vec<&str> = eng.alerts().iter().map(|a| a.subject.as_str()).collect();
+        assert_eq!(subjects, ["0.0.0.10:1024"]);
+    }
+
+    #[test]
+    fn endpoints_clamp_like_their_text() {
+        let wide = Endpoint::from_wire(u64::MAX, 88);
+        assert_eq!(wide, Endpoint::from_wire(u64::from(u32::MAX), 88));
+        assert_eq!(wide.to_string(), "255.255.255.255:88");
+        assert_eq!(Endpoint::from_wire(0x0A00_0102, 2001).to_string(), "10.0.1.2:2001");
+    }
+
+    /// The entropy screen as first written: a window is lively iff its
+    /// 16 bytes hold at least 4 distinct values.
+    fn reference_windows(payload: &[u8]) -> Vec<u128> {
+        payload
+            .windows(16)
+            .filter(|w| w.iter().collect::<BTreeSet<_>>().len() >= 4)
+            .map(|w| u128::from_be_bytes(w.try_into().unwrap()))
+            .collect()
+    }
+
+    testkit::prop! {
+        /// The rolling screen yields exactly the reference's windows,
+        /// in order, over low-entropy alphabets where the 4-distinct
+        /// threshold flips back and forth along the payload.
+        fn rolling_screen_matches_reference(
+            alphabet in 1u8..=8,
+            base in testkit::prop::any::<u8>(),
+            picks in testkit::prop::collection::vec(testkit::prop::any::<u8>(), 0..=80),
+        ) {
+            let payload: Vec<u8> =
+                picks.iter().map(|p| base.wrapping_add(p % alphabet)).collect();
+            let rolled: Vec<u128> = LivelyWindows::new(&payload).collect();
+            assert_eq!(rolled, reference_windows(&payload), "{payload:?}");
+        }
+
+        /// And over arbitrary bytes.
+        fn rolling_screen_matches_reference_on_any_bytes(
+            payload in testkit::prop::collection::vec(testkit::prop::any::<u8>(), 0..=80),
+        ) {
+            let rolled: Vec<u128> = LivelyWindows::new(&payload).collect();
+            assert_eq!(rolled, reference_windows(&payload), "{payload:?}");
+        }
+    }
+
+    #[test]
+    fn events_counter_matches_events_seen() {
+        // The poll after one that raised an alert drains that alert's
+        // own `ids.alert` event too; neither view counts it.
+        let t = Tracer::new();
+        let mut eng = default_engine().unwrap();
+        eng.attach(&t);
+        let ap = sealed(5, 7);
+        hop(&t, 1_000_000, (10, 1024), (20, 2001), "files", true, ap.clone());
+        hop(&t, 2_000_000, (10, 1024), (20, 2001), "files", true, ap);
+        assert_eq!(eng.poll(), 1);
+        let counter = |t: &Tracer| t.snapshot()["ids.events{engine}"];
+        let (c0, s0) = (counter(&t), eng.events_seen());
+        assert_eq!(c0, s0);
+        hop(&t, 3_000_000, (10, 1024), (20, 2001), "files", true, sealed(5, 8));
+        eng.poll();
+        assert_eq!(eng.events_seen() - s0, 1);
+        assert_eq!(counter(&t) - c0, eng.events_seen() - s0);
     }
 
     #[test]

@@ -134,14 +134,18 @@ echo "== intrusion detection (E20, gates + byte-identical JSON) =="
 # pure function of the deterministic wire, so BENCH_ids.json must be
 # byte-identical across same-seed runs; then both gates (every designed
 # detector pair fired with >=90% on loud variants; zero alerts on the
-# zero-fault benign workload). The pinned A1/V4 alert-stream golden
-# rides with the test suite (alert_golden).
+# zero-fault benign workload). The pinned alert-stream goldens
+# ride with the test suite (alert_golden).
 cargo run --release --offline -p bench --bin table_ids_matrix
 cp BENCH_ids.json BENCH_ids.json.run1
 cargo run --release --offline -p bench --bin table_ids_matrix
 diff BENCH_ids.json.run1 BENCH_ids.json \
     || { echo "BENCH_ids.json not byte-identical across same-seed runs"; exit 1; }
 rm -f BENCH_ids.json.run1
+# And identical to the committed report: a detector change that moves
+# any matrix row fails here instead of being silently re-blessed.
+git diff --exit-code -- BENCH_ids.json \
+    || { echo "BENCH_ids.json differs from the committed report"; exit 1; }
 grep -q '"detection_gate": "pass"' BENCH_ids.json \
     || { echo "BENCH_ids.json missing detection gate pass"; exit 1; }
 grep -q '"fp_gate": "pass"' BENCH_ids.json \
