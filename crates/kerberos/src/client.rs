@@ -47,20 +47,22 @@ pub struct Credential {
 /// Parses a KDC reply that may be an error message.
 fn check_error(config: &ProtocolConfig, reply: &[u8]) -> Result<(), KrbError> {
     if let Ok((WireKind::Err, _)) = deframe(reply) {
-        let e = KrbErrorMsg::decode(config.codec, reply)?;
-        if e.code == err_code::TRY_LATER {
-            // The server is in its fail-closed startup window: an
-            // always-retryable condition, not a verdict.
-            return Err(KrbError::FailClosed);
-        }
-        if e.code == err_code::SERVER_BUSY {
-            // The admission tier shed this request: back off and retry
-            // without burning failover budget.
-            return Err(KrbError::ServerBusy);
-        }
-        return Err(KrbError::Remote(format!("KDC error {}: {}", e.code, e.text)));
+        return Err(error_cause(KrbErrorMsg::decode(config.codec, reply)?));
     }
     Ok(())
+}
+
+/// The typed cause a KDC error message carries.
+fn error_cause(e: KrbErrorMsg) -> KrbError {
+    match e.code {
+        // The server is in its fail-closed startup window: an
+        // always-retryable condition, not a verdict.
+        err_code::TRY_LATER => KrbError::FailClosed,
+        // The admission tier shed this request: back off and retry
+        // without burning failover budget.
+        err_code::SERVER_BUSY => KrbError::ServerBusy,
+        code => KrbError::Remote(format!("KDC error {code}: {}", e.text)),
+    }
 }
 
 /// Performs the AS exchange ("login") from `client_ep` against the KDC at
@@ -149,14 +151,12 @@ pub fn login_at(
             let reply = net.rpc_with_timeout(client_ep, kdc_ep, probe.encode(config.codec), timeout)?;
             let err = KrbErrorMsg::decode(config.codec, &reply)
                 .map_err(|_| reply_transient(net, KrbError::Remote("expected a login challenge".into())))?;
-            if err.code == err_code::SERVER_BUSY {
-                // The admission tier shed the probe: back off and retry
-                // the whole challenge round.
-                return Err(AttemptErr::Busy);
-            }
-            let r = err
-                .challenge
-                .ok_or_else(|| reply_transient(net, KrbError::Remote("KDC sent no challenge".into())))?;
+            let Some(r) = err.challenge else {
+                // A refusal, not a challenge: the same typed causes as
+                // any other KDC error (a shed probe backs off and
+                // retries the whole challenge round).
+                return Err(reply_transient(net, error_cause(err)));
+            };
             let kprime = match (&input, &kc) {
                 (LoginInput::Handheld(device), _) => device(r),
                 (LoginInput::Password(_), Some(kc)) => hha_key(kc, r),

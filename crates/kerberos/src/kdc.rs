@@ -132,7 +132,7 @@ pub struct Kdc {
 impl Kdc {
     /// Builds a KDC over `db`. A database without the realm's TGS
     /// principal gets one provisioned with a key derived from
-    /// `rng_seed` — protocol code must not panic (krb-lint P001).
+    /// `rng_seed` — protocol code must not panic (clippy's panic lints).
     pub fn new(config: ProtocolConfig, mut db: KdcDatabase, rng_seed: u64) -> Self {
         let tgs = Principal::tgs(db.realm());
         let tgs_raw = match db.lookup(&tgs) {

@@ -4,6 +4,11 @@
 //! Used by the integration tests, the attack library, the examples, and
 //! the benchmarks, so every consumer exercises the same deployment.
 
+#![expect(
+    clippy::expect_used,
+    reason = "experiment-harness fixture construction; failing loudly at setup is correct and precedes any protocol traffic"
+)]
+
 use crate::appserver::{AppLogic, AppServer};
 use crate::config::ProtocolConfig;
 use crate::database::{shard_for, KdcDatabase, ShardedDatabase};
@@ -308,8 +313,6 @@ pub struct KdcCluster {
     pub shard_primary_eps: Vec<Endpoint>,
     /// Shard `i`'s primary KDC host id.
     pub shard_primary_hosts: Vec<HostId>,
-    /// Shard `i`'s replica endpoints (failover order).
-    pub shard_replica_eps: Vec<Vec<Endpoint>>,
     /// Shard `i`'s replica host ids.
     pub shard_replica_hosts: Vec<Vec<HostId>>,
     /// The shard-aware gateway endpoint — the only address clients use.
@@ -340,40 +343,9 @@ impl KdcCluster {
         shard_for(p, self.shard_primary_eps.len())
     }
 
-    /// The KDC endpoints able to serve `p`, primary first — the list a
-    /// shard-aware client would walk directly, bypassing the gateway.
-    pub fn kdc_eps_for(&self, p: &Principal) -> Vec<Endpoint> {
-        let i = self.shard_of(p);
-        let mut eps = vec![self.shard_primary_eps[i]];
-        eps.extend_from_slice(&self.shard_replica_eps[i]);
-        eps
-    }
-
     /// What clients contact for AS/TGS traffic: the gateway.
     pub fn contact_eps(&self) -> Vec<Endpoint> {
         vec![self.gateway_ep]
-    }
-
-    /// Runs `f` with mutable access to shard `i`'s primary [`Kdc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host does not hold a `Kdc`.
-    pub fn with_shard_kdc<R>(
-        &self,
-        net: &mut Network,
-        shard: usize,
-        f: impl FnOnce(&mut Kdc) -> R,
-    ) -> R {
-        let svc = net
-            .host_mut(self.shard_primary_hosts[shard])
-            .service_mut(KDC_PORT)
-            .expect("KDC bound")
-            .as_any_mut()
-            .expect("inspectable")
-            .downcast_mut::<Kdc>()
-            .expect("a Kdc");
-        f(svc)
     }
 }
 
@@ -433,7 +405,6 @@ pub fn deploy_cluster(
     // shard holds that shard's database copy and the same TGS key.
     let mut shard_primary_eps = Vec::with_capacity(shards);
     let mut shard_primary_hosts = Vec::with_capacity(shards);
-    let mut shard_replica_eps = Vec::with_capacity(shards);
     let mut shard_replica_hosts = Vec::with_capacity(shards);
     let mut groups: Vec<Vec<Endpoint>> = Vec::with_capacity(shards);
     for (i, shard_db) in db.into_shards().into_iter().enumerate() {
@@ -467,9 +438,8 @@ pub fn deploy_cluster(
             reps.push(Endpoint::new(raddr, KDC_PORT));
         }
         let mut group = vec![primary_ep];
-        group.extend_from_slice(&reps);
+        group.extend(reps);
         groups.push(group);
-        shard_replica_eps.push(reps);
         shard_replica_hosts.push(rep_hosts);
     }
 
@@ -495,7 +465,6 @@ pub fn deploy_cluster(
         config: config.clone(),
         shard_primary_eps,
         shard_primary_hosts,
-        shard_replica_eps,
         shard_replica_hosts,
         gateway_ep,
         gateway_host,

@@ -9,6 +9,12 @@
 //! KRB_GOLDEN_BLESS=1 cargo test -p kerberos --test decode_rejection_golden
 //! ```
 
+#![expect(
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "integration tests are outside the protocol panic scope"
+)]
+
 use kerberos::authenticator::Authenticator;
 use kerberos::encoding::Codec;
 use kerberos::flags::{KdcOptions, TicketFlags};

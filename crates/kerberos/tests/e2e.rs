@@ -1,6 +1,12 @@
 //! End-to-end protocol flows: login -> TGS -> application session, for
 //! every preset configuration.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "integration tests are outside the protocol panic scope"
+)]
+
 use kerberos::appserver::connect_app;
 use kerberos::client::{get_service_ticket, login, LoginInput, TgsParams};
 use kerberos::testbed::{standard_campus, CLIENT_PORT};
@@ -309,6 +315,36 @@ fn rate_limit_throttles_as_requests() {
         &mut rng,
     );
     assert!(ok.is_ok());
+}
+
+#[test]
+fn rate_limited_hardened_login_reports_the_kdc_error() {
+    // A hardened login opens with a challenge probe. Once one
+    // workstation exceeds the KDC's request rate, the probe draws
+    // RATE_LIMITED instead of a challenge, and that is the cause the
+    // caller must see.
+    let config = ProtocolConfig::hardened();
+    assert_eq!(config.kdc_rate_limit, Some(32));
+    let mut net = Network::new();
+    net.advance(SimDuration::from_secs(1_000_000));
+    let realm = standard_campus(&mut net, &config, 50);
+    let mut rng = Drbg::new(15);
+
+    let first_failure = (0..64)
+        .find_map(|_| {
+            login(
+                &mut net,
+                &config,
+                realm.user_ep("pat"),
+                realm.kdc_ep,
+                &realm.user("pat"),
+                LoginInput::Password("correct-horse-battery"),
+                &mut rng,
+            )
+            .err()
+        })
+        .expect("the rate limit trips within 64 logins");
+    assert_eq!(first_failure, KrbError::Remote("KDC error 10: request rate exceeded".into()));
 }
 
 #[test]

@@ -2,6 +2,11 @@
 //! fail over to slave-KDC replicas, and keep replay defense sound
 //! across server restarts (persistence + fail-closed window).
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration tests are outside the protocol panic scope"
+)]
+
 use kerberos::appserver::connect_app;
 use kerberos::client::{get_service_ticket_at, login, login_at, LoginInput, TgsParams};
 use kerberos::messages::{err_code, KrbErrorMsg, WireKind};

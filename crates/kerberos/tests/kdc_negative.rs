@@ -2,6 +2,11 @@
 //! tampered, mismatched, or stale artifact must be rejected with a
 //! protocol error, never accepted and never a panic.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration tests are outside the protocol panic scope"
+)]
+
 use kerberos::appserver::connect_app;
 use kerberos::authenticator::Authenticator;
 use kerberos::client::{get_service_ticket, login, Credential, LoginInput, TgsParams};

@@ -8,6 +8,12 @@
 //! is quite insecure, while using large ones is expensive in computation
 //! time." Experiment E4 measures both sides of that trade.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "from_hex on compile-time Oakley/toy group constants, exercised by tests; a fallback would silently weaken the group"
+)]
+
 use crate::bignum::{mod_exp, random_bits, BigUint};
 use crate::des::DesKey;
 use crate::error::CryptoError;

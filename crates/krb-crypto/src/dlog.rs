@@ -5,6 +5,11 @@
 //! E4 runs these against exponential-key-exchange transcripts with small
 //! exponents/moduli and records the time-to-break curve.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "BSGS baby-step table is probe-only (never iterated) and on the E4 time-to-break hot path; order cannot reach any output"
+)]
+
 use crate::bignum::{mod_exp, mod_inverse, BigUint};
 use crate::error::CryptoError;
 use crate::rng::RandomSource;

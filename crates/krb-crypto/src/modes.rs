@@ -165,15 +165,6 @@ pub fn pcbc_decrypt(key: &DesKey, iv: u64, data: &[u8]) -> Result<Vec<u8>, Crypt
     Ok(out)
 }
 
-/// Encrypts a whole message with a precomputed key schedule in CBC mode.
-/// Exposed for the throughput benchmarks, which must not re-run the key
-/// schedule per message.
-pub fn cbc_encrypt_with(ks: &KeySchedule, iv: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    let mut out = data.to_vec();
-    cbc_encrypt_in_place(ks, iv, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

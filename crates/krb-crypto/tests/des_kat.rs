@@ -7,6 +7,11 @@
 //! `testkit::prop` suite drives randomized equivalence (replay a
 //! failure with the printed `TESTKIT_SEED`).
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration tests are outside the protocol panic scope"
+)]
+
 use krb_crypto::des::{self, DesKey, KeySchedule};
 use krb_crypto::des3::TripleDesKey;
 use krb_crypto::modes;

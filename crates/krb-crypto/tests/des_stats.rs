@@ -10,7 +10,7 @@ use krb_crypto::rng::{Drbg, RandomSource};
 fn encryption_is_injective_on_samples() {
     let mut rng = Drbg::new(1);
     let key = rng.gen_des_key();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for _ in 0..2000 {
         let pt = rng.next_u64();
         let ct = key.encrypt_block(pt);

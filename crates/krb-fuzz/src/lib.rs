@@ -3,7 +3,7 @@
 //! A dependency-free, fully deterministic fuzzing harness for the
 //! kerberos codec. The paper's attacks all hinge on what a parser will
 //! accept off the wire; this crate turns that observation on our own
-//! implementation and proves the panic-hygiene bar (krb-lint P001)
+//! implementation and proves the panic-hygiene bar (clippy's panic lints)
 //! holds under *adversarial* bytes, not just well-formed ones.
 //!
 //! Design constraints, in order:

@@ -7,6 +7,11 @@
 //! KRB_FUZZ_BLESS=1 cargo test -p krb-fuzz --test fixtures
 //! ```
 
+#![expect(
+    clippy::panic,
+    reason = "integration tests are outside the protocol panic scope"
+)]
+
 use krb_fuzz::classify::{classify, diagnostic, with_quiet_panics, Verdict};
 use krb_fuzz::corpus::{
     codec_from_label, codec_label, from_hex, generate_all_seeds, to_hex, SeedCase, Target,

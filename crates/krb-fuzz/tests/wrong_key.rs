@@ -10,6 +10,11 @@
 //! parser, EncApRepPart) — the real downstream consumers of wrong-key
 //! garbage.
 
+#![expect(
+    clippy::panic,
+    reason = "integration tests are outside the protocol panic scope"
+)]
+
 use kerberos::enclayer::EncLayer;
 use kerberos::messages::EncApRepPart;
 use kerberos::session::{decode_priv_draft3, decode_priv_hardened};

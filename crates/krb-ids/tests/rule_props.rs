@@ -1,7 +1,7 @@
 //! Totality proptests for the rule parser and compiler: any input —
 //! arbitrary bytes, mangled near-valid rules, random option soup —
 //! yields `Ok` or a typed error. A panic anywhere is a test failure
-//! (the krb-lint P001 contract, exercised rather than asserted).
+//! (the panic-hygiene contract, exercised rather than asserted).
 
 use krb_ids::{compile, engine_from_rules, MsgKind, RuleSet};
 use testkit::prop::{any, collection, string, Strategy};

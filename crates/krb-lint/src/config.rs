@@ -28,30 +28,10 @@ pub const SECRET_TYPES: &[&str] = &[
 /// byte-identical JSONL and the E20 matrix is diffed across double
 /// runs — so a wall-clock or RNG read there would break the golden.
 /// `bench` and `testkit` are exempt — they measure wall clocks on
-/// purpose.
+/// purpose. D003 and P003 read this list; clippy's `disallowed_types`
+/// covers the same crates, the others allow it in their manifests.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "simnet", "kerberos", "krb-crypto", "attacks", "krb-trace", "krb-fuzz", "krb-gateway",
-    "krb-lint", "krb-ids",
-];
-
-/// Crates whose `src/` is production protocol code: a panic is a
-/// protocol-visible denial of service, so `unwrap`/`expect`/`panic!`
-/// are forbidden outside tests (P001/P002). `krb-trace` is on every
-/// protocol hot path, so it is held to the same bar, and `krb-fuzz`
-/// must never panic itself — a panic anywhere in its `src/` would be
-/// indistinguishable from the decoder bugs it exists to catch.
-/// `attacks` is the adversary harness and `bench` is tooling; they are
-/// exempt. `krb-gateway` fronts every KDC flow, so a panic there is a
-/// realm-wide outage — it is governed. `krb-lint` gates every verify
-/// run, so since PR 9 it meets its own bar: a panic in the linter would
-/// take the whole gate down with a stack trace instead of a finding.
-/// `krb-ids` watches the wire online — a panic in a detector is a
-/// crashed defender, the worst possible failure mode for monitoring —
-/// so rule parsing/compilation returns typed errors and detectors must
-/// stay total over arbitrary event bytes (the rule_props proptests
-/// drive that totality).
-pub const PANIC_FREE_CRATES: &[&str] = &[
-    "simnet", "kerberos", "krb-crypto", "hardware", "krb-trace", "krb-fuzz", "krb-gateway",
     "krb-lint", "krb-ids",
 ];
 

@@ -7,10 +7,11 @@
 //! tokens:
 //!
 //! - **D003** — a deterministic-crate function reaching (≤3 call hops)
-//!   a wall-clock read *defined outside the governed set*. D001 already
-//!   flags `Instant` lexically inside governed crates; D003 catches the
-//!   laundered form, where the clock lives in `bench` or another exempt
-//!   helper crate and only the call crosses the boundary.
+//!   a wall-clock read *defined outside the governed set*. Clippy's
+//!   `disallowed_types` already flags `Instant` inside governed crates;
+//!   D003 catches the laundered form, where the clock lives in `bench`
+//!   or another exempt helper crate and only the call crosses the
+//!   boundary.
 //! - **P003** — `as u8/u16/u32` on a length-named operand inside an
 //!   encode/decode-path function of a deterministic crate. Wire lengths
 //!   must fail closed (`u32::try_from`), not silently truncate into a
@@ -103,7 +104,7 @@ fn production_fns<'a>(
 /// non-governed crate.
 fn check_d003(ctx: &TaintCtx<'_>, out: &mut Vec<Finding>) {
     // Roots: functions whose body reads the clock, defined OUTSIDE the
-    // governed set (inside it, D001 flags the read itself).
+    // governed set (inside it, clippy flags the read itself).
     let mut dist: BTreeMap<FnRef, (usize, FnRef)> = BTreeMap::new();
     for (file, &(_, krate)) in ctx.files.iter().enumerate() {
         if DETERMINISTIC_CRATES.contains(&krate) {

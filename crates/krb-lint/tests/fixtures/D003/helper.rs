@@ -1,5 +1,5 @@
 //! The laundering helper: lives in a non-governed crate (`bench`), so
-//! D001's token scan never sees the `Instant` below from inside a
+//! clippy's `disallowed_types` never sees the `Instant` below from a
 //! deterministic crate. D003 exists to follow the call edge here.
 
 use std::time::Instant;

@@ -343,11 +343,6 @@ impl Network {
         self.fault = Some(plan);
     }
 
-    /// Removes and returns the fault plan, e.g. to read its stats.
-    pub fn take_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault.take()
-    }
-
     /// Borrows the installed fault plan.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()

@@ -165,13 +165,6 @@ impl StreamListener {
     pub fn new(isn_base: u32) -> Self {
         StreamListener { isn_gen: IsnGenerator::new(isn_base), conns: BTreeMap::new(), delivered: Vec::new() }
     }
-
-    /// Read-only view of the ISN generator (for attacker prediction in
-    /// white-box tests; the real attacker reconstructs it from one
-    /// observed ISN).
-    pub fn isn_generator(&self) -> &IsnGenerator {
-        &self.isn_gen
-    }
 }
 
 impl Service for StreamListener {
@@ -304,7 +297,7 @@ mod tests {
         let synack = l.handle(&mut ctx, &Segment::Syn { isn: 0 }.encode(), peer).unwrap();
         let sisn = match Segment::decode(&synack).unwrap() {
             Segment::SynAck { isn, .. } => isn,
-            _ => unreachable!(),
+            _ => panic!("expected SYN-ACK"),
         };
         l.handle(&mut ctx, &Segment::Ack { seq: 1, ack: sisn + 1 }.encode(), peer);
         let reply = l

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline:
-#   1. static invariants — krb-lint (secrecy, constant-time, determinism,
-#      panic hygiene, hermeticity) with a justified-suppression baseline
+#   1. hermeticity — cargo metadata lists no package from outside the
+#      tree; then static invariants — krb-lint (secrecy, constant-time,
+#      flow rules) with a justified-suppression baseline
 #   2. release build of every target (including benches)
-#   3. clippy, warnings denied
+#   3. clippy, warnings denied — this also enforces determinism
+#      (clippy.toml's disallowed types and methods) and panic hygiene
+#      (the panic lints the protocol crates' [lints] tables turn on)
 #   4. full test suite
 #
 # Usage: scripts/verify.sh   (from anywhere; cd's to the repo root)
@@ -11,48 +14,33 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== static invariants (krb-lint) =="
-# Rules S001-S003 (secrecy), C001 (constant-time compare), D001/D002
-# (determinism), P001/P002 (panic hygiene), plus the flow-aware pass
-# (S005 cross-function secret taint, D003 laundered clock reads, P003
-# truncating length casts, A001 hot-path allocations, E001 metric-name
-# drift against DESIGN.md), H001 (hermeticity — this
-# subsumes the grep-based dependency guard verify.sh carried since PR 1:
-# a crates-io or git dependency is now reported as an H001 finding with
-# the manifest file:line and the offending entry named).
-# A non-path dependency can break cargo's own resolution before the
-# lint gets to run (offline, nothing to fetch) — in that case fall back
-# to an already-built krb-lint binary so the failure still names the
-# offending manifest line as an H001 finding.
-if ! cargo run -q --offline -p krb-lint 2>lint_stderr.tmp; then
-    cat lint_stderr.tmp; rm -f lint_stderr.tmp
-    for bin in target/debug/krb-lint target/release/krb-lint; do
-        if [ -x "$bin" ]; then
-            "$bin" --root . || true
-            break
-        fi
-    done
-    echo "krb-lint gate failed — fix the findings above, or add a"
-    echo "justified [[allow]] entry to lint-baseline.toml (H001 findings"
-    echo "mean a non-path dependency: the build must stay hermetic)"
-    exit 1
-fi
-rm -f lint_stderr.tmp
-# Belt and braces: cargo's own view must agree (exactly the workspace
-# members, nothing fetched).
-if command -v python3 >/dev/null 2>&1; then
-    cargo metadata --format-version 1 --offline \
-        | python3 -c '
+echo "== hermeticity (cargo metadata) =="
+# Every package cargo resolves, for the workspace and for the separate
+# perfbench workspace, must come from the tree: a crates-io or git
+# dependency has a non-null source (or fails offline resolution).
+command -v python3 >/dev/null 2>&1 \
+    || { echo "python3 not found: the hermeticity check cannot run"; exit 1; }
+for manifest in Cargo.toml perfbench/Cargo.toml; do
+    meta="$(cargo metadata --format-version 1 --offline --manifest-path "$manifest")" \
+        || { echo "$manifest: dependencies do not resolve offline; the build must stay hermetic"; exit 1; }
+    python3 -c '
 import json, sys
 meta = json.load(sys.stdin)
 external = [p["name"] for p in meta["packages"] if p["source"] is not None]
 if external:
     sys.exit("external packages in cargo metadata: %s" % ", ".join(sorted(set(external))))
-'
-else
-    echo "(python3 not found; skipping cargo-metadata cross-check)"
-fi
+' <<<"$meta" || { echo "$manifest: the build must stay hermetic (in-tree path dependencies only)"; exit 1; }
+done
 echo "ok: all dependencies are in-tree path dependencies"
+
+echo "== static invariants (krb-lint) =="
+# Rules S001-S004 (secrecy), C001 (constant-time compare), plus the
+# flow-aware pass (S005 cross-function secret taint, D003 laundered
+# clock reads, P003 truncating length casts, A001 hot-path allocations,
+# E001 metric-name drift against DESIGN.md).
+cargo run -q --offline -p krb-lint \
+    || { echo "krb-lint gate failed — fix the findings above, or add a"
+         echo "justified [[allow]] entry to lint-baseline.toml"; exit 1; }
 
 echo "== release build (all targets) =="
 cargo build --workspace --release --all-targets --offline
